@@ -14,8 +14,7 @@
 //! mismatch, and additionally demands a minimum 8-thread speedup scaled
 //! to the cores the host actually has (hardware-parallelism-aware so
 //! laptop and CI runs gate meaningfully): >=8 cores → 3.0x, 4–7 → 1.5x,
-//! 2–3 → 1.1x, 1 core → digest check only. `--min-speedup <x>`
-//! overrides that floor explicitly.
+//! 2–3 → 1.1x, 1 core → digest check only.
 
 use std::time::Instant;
 
@@ -121,13 +120,7 @@ fn run_sharded(spec: &TopoSpec, threads: usize) -> (u64, topo::TopoReport) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let min_speedup_override: Option<f64> = args
-        .iter()
-        .position(|a| a == "--min-speedup")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let check = std::env::args().any(|a| a == "--check");
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let spec = bench_spec();
@@ -197,8 +190,7 @@ fn main() {
                 failed = true;
             }
         }
-        let floor = min_speedup_override.or_else(|| required_speedup(cores));
-        if let Some(floor) = floor {
+        if let Some(floor) = required_speedup(cores) {
             let best_at_8 = report
                 .configs
                 .iter()

@@ -107,7 +107,7 @@ impl CompiledRoute {
 
     /// Like [`CompiledRoute::compile`], but armed with directory-computed
     /// alternate branches (`branches` is parallel to `record.hops`, as
-    /// produced by `sirpent_directory::Topology::protect`). Protected
+    /// produced by `sirpent_directory::TeTopology::protect`). Protected
     /// hops get their branch stamped into the segment, and the canonical
     /// recovery list — the route's own tail, ending in the local
     /// terminator — is attached for the splice indices to point into.

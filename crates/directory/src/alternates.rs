@@ -1,6 +1,7 @@
 //! Alternate-DAG computation at route-grant time (Slick-Packets style).
 //!
-//! When the directory grants a route it can also *protect* it: for each
+//! When the directory grants a route it can also *protect* it
+//! ([`TeTopology::protect`], on the directory's one link map): for each
 //! transit hop it looks for a detour — a spare output port at that hop's
 //! router whose link lands back on a later router of the same route (or
 //! directly on the destination) — and encodes it as an
@@ -22,45 +23,12 @@
 //! at the hop after next or later — so a single branch covers both the
 //! link-down and the router-down failure of the hop it protects.
 
-use std::collections::BTreeMap;
-
 use sirpent_wire::viper::AltBranch;
 
 use crate::route::RouteRecord;
+use crate::te::{Peer, TeTopology};
 
-/// A node a router port can lead to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Peer {
-    /// Another router, by router id.
-    Router(u32),
-    /// An end host, by host id.
-    Host(u32),
-}
-
-/// The directory's link-level view of the internetwork: which node each
-/// router output port is wired to. Deterministic by construction (sorted
-/// map), so protection decisions never depend on insertion order.
-#[derive(Debug, Clone, Default)]
-pub struct Topology {
-    links: BTreeMap<(u32, u8), Peer>,
-}
-
-impl Topology {
-    /// An empty topology.
-    pub fn new() -> Topology {
-        Topology::default()
-    }
-
-    /// Declare that `router`'s output `port` is wired to `peer`.
-    pub fn add_link(&mut self, router: u32, port: u8, peer: Peer) {
-        self.links.insert((router, port), peer);
-    }
-
-    /// Where a router port leads, if known.
-    pub fn peer(&self, router: u32, port: u8) -> Option<Peer> {
-        self.links.get(&(router, port)).copied()
-    }
-
+impl TeTopology {
     /// Compute one alternate branch per hop of `route`, where the
     /// topology admits one. The result is parallel to `route.hops`;
     /// `None` means the hop is unprotectable (no spare port rejoins the
@@ -78,7 +46,7 @@ impl Topology {
             .enumerate()
             .map(|(i, hop)| {
                 let mut best: Option<(bool, usize, u8)> = None;
-                for (&(router, port), &peer) in self.links.range((hop.router_id, 0)..) {
+                for (&(router, port), link) in self.links.range((hop.router_id, 0)..) {
                     if router != hop.router_id {
                         break;
                     }
@@ -91,7 +59,7 @@ impl Topology {
                     // this *is* the final hop, whose peer is the
                     // destination itself — a parallel link is then the
                     // best possible cover.)
-                    let candidate = match peer {
+                    let candidate = match link.peer {
                         Peer::Host(h) if h == dest => Some((n - 1, i + 1 < n)),
                         Peer::Router(r) => route
                             .hops
@@ -123,6 +91,7 @@ impl Topology {
 mod tests {
     use super::*;
     use crate::route::{AccessSpec, HopSpec, Security};
+    use crate::te::LinkMetrics;
     use sirpent_sim::SimDuration;
 
     fn hop(router: u32, port: u8) -> HopSpec {
@@ -157,13 +126,13 @@ mod tests {
     /// early — and as disjointly — as the wiring allows.
     #[test]
     fn chain_with_skip_links_protects_every_hop() {
-        let mut t = Topology::new();
-        t.add_link(1, 2, Peer::Router(2));
-        t.add_link(2, 2, Peer::Router(3));
-        t.add_link(3, 2, Peer::Host(9));
-        t.add_link(1, 3, Peer::Router(3)); // skip link over router 2
-        t.add_link(2, 3, Peer::Host(9)); // skip link over router 3
-        t.add_link(3, 3, Peer::Host(9)); // parallel last-hop link
+        let mut t = TeTopology::new();
+        t.add_link(1, 2, Peer::Router(2), LinkMetrics::basic());
+        t.add_link(2, 2, Peer::Router(3), LinkMetrics::basic());
+        t.add_link(3, 2, Peer::Host(9), LinkMetrics::basic());
+        t.add_link(1, 3, Peer::Router(3), LinkMetrics::basic()); // skip link over router 2
+        t.add_link(2, 3, Peer::Host(9), LinkMetrics::basic()); // skip link over router 3
+        t.add_link(3, 3, Peer::Host(9), LinkMetrics::basic()); // parallel last-hop link
         let r = route(vec![hop(1, 2), hop(2, 2), hop(3, 2)]);
 
         let branches = t.protect(&r, 9);
@@ -182,13 +151,13 @@ mod tests {
 
     #[test]
     fn router_disjoint_detour_beats_parallel_link() {
-        let mut t = Topology::new();
-        t.add_link(1, 2, Peer::Router(2));
-        t.add_link(2, 2, Peer::Host(9));
+        let mut t = TeTopology::new();
+        t.add_link(1, 2, Peer::Router(2), LinkMetrics::basic());
+        t.add_link(2, 2, Peer::Host(9), LinkMetrics::basic());
         // Port 3: a second wire to the same peer router (link-disjoint
         // only). Port 4: a skip wire straight to dst (router-disjoint).
-        t.add_link(1, 3, Peer::Router(2));
-        t.add_link(1, 4, Peer::Host(9));
+        t.add_link(1, 3, Peer::Router(2), LinkMetrics::basic());
+        t.add_link(1, 4, Peer::Host(9), LinkMetrics::basic());
         let r = route(vec![hop(1, 2), hop(2, 2)]);
 
         let branches = t.protect(&r, 9);
@@ -201,10 +170,10 @@ mod tests {
 
     #[test]
     fn falls_back_to_parallel_link_when_no_disjoint_detour_exists() {
-        let mut t = Topology::new();
-        t.add_link(1, 2, Peer::Router(2));
-        t.add_link(1, 3, Peer::Router(2)); // only a parallel wire
-        t.add_link(2, 2, Peer::Host(9));
+        let mut t = TeTopology::new();
+        t.add_link(1, 2, Peer::Router(2), LinkMetrics::basic());
+        t.add_link(1, 3, Peer::Router(2), LinkMetrics::basic()); // only a parallel wire
+        t.add_link(2, 2, Peer::Host(9), LinkMetrics::basic());
         let r = route(vec![hop(1, 2), hop(2, 2)]);
 
         let branches = t.protect(&r, 9);
@@ -214,13 +183,13 @@ mod tests {
 
     #[test]
     fn unrelated_and_backward_links_never_protect() {
-        let mut t = Topology::new();
-        t.add_link(1, 2, Peer::Router(2));
-        t.add_link(2, 2, Peer::Router(3));
-        t.add_link(3, 2, Peer::Host(9));
-        t.add_link(2, 3, Peer::Router(1)); // backward — rejoins *earlier*
-        t.add_link(2, 4, Peer::Router(77)); // off-route router
-        t.add_link(2, 5, Peer::Host(88)); // some other host
+        let mut t = TeTopology::new();
+        t.add_link(1, 2, Peer::Router(2), LinkMetrics::basic());
+        t.add_link(2, 2, Peer::Router(3), LinkMetrics::basic());
+        t.add_link(3, 2, Peer::Host(9), LinkMetrics::basic());
+        t.add_link(2, 3, Peer::Router(1), LinkMetrics::basic()); // backward — rejoins *earlier*
+        t.add_link(2, 4, Peer::Router(77), LinkMetrics::basic()); // off-route router
+        t.add_link(2, 5, Peer::Host(88), LinkMetrics::basic()); // some other host
         let r = route(vec![hop(1, 2), hop(2, 2), hop(3, 2)]);
 
         let branches = t.protect(&r, 9);
@@ -229,7 +198,7 @@ mod tests {
 
     #[test]
     fn zero_hop_route_has_nothing_to_protect() {
-        let t = Topology::new();
+        let t = TeTopology::new();
         assert!(t.protect(&route(vec![]), 9).is_empty());
     }
 }

@@ -14,13 +14,14 @@
 //!   and the region-distance query-latency model;
 //! * [`cache`] — the client-side advisory cache with on-use staleness
 //!   detection;
-//! * [`alternates`] — route protection at grant time: per-hop
-//!   link-disjoint detours encoded as Slick-Packets-style alternate
-//!   branches over the route's own tail;
-//! * [`te`] — the traffic-engineering control plane: a weighted link
-//!   map (per-link delay / bandwidth / MTU / cost plus reported load)
-//!   with an epoch counter, and a constrained Yen-style k-shortest
-//!   route search with congestion detours.
+//! * [`te`] — the directory's one link map ([`TeTopology`]: per-link
+//!   peer, delay / bandwidth / MTU / cost, reported load and up/down
+//!   state) with an epoch counter, and the traffic-engineering control
+//!   plane's constrained Yen-style k-shortest route search with
+//!   congestion detours; every load/failure report lands here;
+//! * [`alternates`] — route protection at grant time on that map
+//!   ([`TeTopology::protect`]): per-hop link-disjoint detours encoded as
+//!   Slick-Packets-style alternate branches over the route's own tail.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +33,10 @@ pub mod route;
 pub mod server;
 pub mod te;
 
-pub use alternates::{Peer, Topology};
 pub use cache::RouteCache;
 pub use name::Name;
 pub use route::{
     AccessSpec, EthernetHop, HopSpec, Preference, RouteProperties, RouteRecord, Security,
 };
 pub use server::{Advisory, Directory, QueryResult, ServiceRecord, TokenIssue};
-pub use te::{LinkMetrics, TeQuery, TeRoute, TeTopology};
+pub use te::{LinkMetrics, Peer, TeQuery, TeRoute, TeTopology};

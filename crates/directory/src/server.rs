@@ -37,7 +37,8 @@ pub struct Advisory {
     /// Sealed port tokens, one per hop (empty when the directory has no
     /// minting authority configured).
     pub tokens: Vec<Vec<u8>>,
-    /// Current worst-case reported load along the route, 0.0–1.0.
+    /// Current worst-case reported load along the route (1.0 = line
+    /// rate), from the directory's link map in milli-unit steps.
     pub reported_load: f64,
     /// Advertised residual capacity of the route's bottleneck link,
     /// bits/sec — what TE clients weight their per-flow route choice
@@ -52,12 +53,6 @@ pub struct ServiceRecord {
     pub attributes: HashMap<String, String>,
     /// Registered routes, tagged by the client region they serve.
     pub routes: Vec<(Name, RouteRecord)>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkStatus {
-    down: bool,
-    load: f64,
 }
 
 /// Result of a query, including the cost model for obtaining it.
@@ -90,9 +85,10 @@ pub struct TokenIssue {
 /// The directory service.
 pub struct Directory {
     records: HashMap<Name, ServiceRecord>,
-    links: HashMap<(u32, u8), LinkStatus>,
     issue: Option<TokenIssue>,
-    te: Option<TeTopology>,
+    /// The one link map: topology, static weights, reported load and
+    /// up/down state. Every report lands here and every query reads it.
+    te: TeTopology,
     /// Aggregated usage collected from router ledgers.
     pub billing: Accounting,
     /// Base RTT to a same-region server.
@@ -119,9 +115,8 @@ impl Directory {
     pub fn new() -> Directory {
         Directory {
             records: HashMap::new(),
-            links: HashMap::new(),
             issue: None,
-            te: None,
+            te: TeTopology::new(),
             billing: Accounting::new(),
             base_query_rtt: SimDuration::from_micros(500),
             per_level_rtt: SimDuration::from_millis(1),
@@ -140,35 +135,30 @@ impl Directory {
         self
     }
 
-    /// Attach a weighted TE topology: the directory then computes
-    /// constrained k-shortest routes on demand ([`Directory::te_query`])
-    /// instead of only serving registered records, and link reports
-    /// bump the topology epoch so client caches can detect staleness.
+    /// Replace the (initially empty) link map: the directory then
+    /// computes constrained k-shortest routes on demand
+    /// ([`Directory::te_query`]) as well as serving registered records,
+    /// and link reports bump the topology epoch so client caches can
+    /// detect staleness.
     pub fn with_te(mut self, te: TeTopology) -> Directory {
-        self.te = Some(te);
+        self.te = te;
         self
     }
 
-    /// The attached TE topology, if any.
-    pub fn te(&self) -> Option<&TeTopology> {
-        self.te.as_ref()
+    /// The directory's link map.
+    pub fn te(&self) -> &TeTopology {
+        &self.te
     }
 
-    /// Mutable access to the TE topology (monitoring stations push
-    /// weight updates through here; every mutation bumps the epoch).
-    pub fn te_mut(&mut self) -> Option<&mut TeTopology> {
-        self.te.as_mut()
+    /// Mutable access to the link map (monitoring stations push weight
+    /// updates through here; every mutation bumps the epoch).
+    pub fn te_mut(&mut self) -> &mut TeTopology {
+        &mut self.te
     }
 
-    /// Current topology epoch (0 when no TE topology is attached).
-    /// Route caches key entries by this value.
+    /// Current topology epoch. Route caches key entries by this value.
     pub fn topology_epoch(&self) -> u64 {
-        self.te.as_ref().map(|t| t.epoch()).unwrap_or(0)
-    }
-
-    /// Register (or extend) a service record.
-    pub fn register_service(&mut self, name: Name) -> &mut ServiceRecord {
-        self.records.entry(name).or_default()
+        self.te.epoch()
     }
 
     /// Register a route to `service` usable by clients within
@@ -199,32 +189,24 @@ impl Directory {
             .map(|s| s.as_str())
     }
 
-    /// A router/monitor load report for one link. With a TE topology
-    /// attached the report also updates the link weight there, bumping
-    /// the topology epoch.
+    /// A router/monitor load report for one link (0.0–1.0 of line
+    /// rate), stored in the link map in [`LOAD_SCALE`] milli-units.
+    /// Reports on links the map does not know are ignored; a change
+    /// bumps the topology epoch.
     pub fn report_load(&mut self, router_id: u32, port: u8, load: f64) {
-        let load = load.clamp(0.0, 1.0);
-        self.links.entry((router_id, port)).or_default().load = load;
-        if let Some(te) = self.te.as_mut() {
-            te.set_load_milli(router_id, port, (load * LOAD_SCALE as f64) as u32);
-        }
+        let milli = (load.clamp(0.0, 1.0) * LOAD_SCALE as f64) as u32;
+        self.te.set_load_milli(router_id, port, milli);
     }
 
     /// A link-failure report ("individual routers and sources
     /// experiencing problems with routes they are using", §6.3).
     pub fn report_down(&mut self, router_id: u32, port: u8) {
-        self.links.entry((router_id, port)).or_default().down = true;
-        if let Some(te) = self.te.as_mut() {
-            te.set_down(router_id, port);
-        }
+        self.te.set_down(router_id, port);
     }
 
     /// A link-recovery report.
     pub fn report_up(&mut self, router_id: u32, port: u8) {
-        self.links.entry((router_id, port)).or_default().down = false;
-        if let Some(te) = self.te.as_mut() {
-            te.set_up(router_id, port);
-        }
+        self.te.set_up(router_id, port);
     }
 
     /// Fold a router's accounting ledger into the billing aggregate.
@@ -232,16 +214,44 @@ impl Directory {
         self.billing.merge(ledger);
     }
 
-    fn route_status(&self, route: &RouteRecord) -> (bool, f64) {
+    /// Seal one token per hop of `route`, in hop order (none when
+    /// minting is not configured).
+    fn mint(&mut self, route: &RouteRecord, account: u32) -> Vec<Vec<u8>> {
+        let Some(issue) = self.issue.as_mut() else {
+            return Vec::new();
+        };
+        route
+            .hops
+            .iter()
+            .map(|h| {
+                issue
+                    .minter
+                    .mint(Grant {
+                        router_id: h.router_id,
+                        port: h.port,
+                        max_priority: issue.max_priority,
+                        reverse_ok: issue.reverse_ok,
+                        account,
+                        byte_limit: issue.byte_limit,
+                        expiry_s: issue.expiry_s,
+                    })
+                    .to_vec()
+            })
+            .collect()
+    }
+
+    /// Whether any hop of `route` is down, and its worst hop load in
+    /// milli-units.
+    fn route_status(&self, route: &RouteRecord) -> (bool, u32) {
         let mut down = false;
-        let mut load: f64 = 0.0;
+        let mut load_milli = 0;
         for h in &route.hops {
-            if let Some(st) = self.links.get(&(h.router_id, h.port)) {
-                down |= st.down;
-                load = load.max(st.load);
+            if let Some(l) = self.te.link(h.router_id, h.port) {
+                down |= l.down;
+                load_milli = load_milli.max(l.load_milli);
             }
         }
-        (down, load)
+        (down, load_milli)
     }
 
     /// Query routes from `client` to `service` with a preference.
@@ -263,7 +273,7 @@ impl Directory {
         }
         let latency = self.base_query_rtt + self.per_level_rtt.times(levels as u64);
 
-        let mut candidates: Vec<(RouteRecord, RouteProperties, f64)> = Vec::new();
+        let mut candidates: Vec<(RouteRecord, RouteProperties, u32)> = Vec::new();
         if let Some(rec) = self.records.get(service) {
             for (region, route) in &rec.routes {
                 if !client.within(region) {
@@ -276,40 +286,20 @@ impl Directory {
                 candidates.push((route.clone(), route.properties(), load));
             }
         }
-        candidates.sort_by_key(|(_, p, load)| {
-            let overloaded = *load > 0.9;
+        candidates.sort_by_key(|(_, p, load_milli)| {
+            let overloaded = *load_milli > LOAD_SCALE * 9 / 10;
             (overloaded, pref.key(p))
         });
         candidates.truncate(max_routes);
 
         let advisories = candidates
             .into_iter()
-            .map(|(route, props, load)| {
-                let tokens = match self.issue.as_mut() {
-                    None => Vec::new(),
-                    Some(issue) => route
-                        .hops
-                        .iter()
-                        .map(|h| {
-                            issue
-                                .minter
-                                .mint(Grant {
-                                    router_id: h.router_id,
-                                    port: h.port,
-                                    max_priority: issue.max_priority,
-                                    reverse_ok: issue.reverse_ok,
-                                    account,
-                                    byte_limit: issue.byte_limit,
-                                    expiry_s: issue.expiry_s,
-                                })
-                                .to_vec()
-                        })
-                        .collect(),
-                };
-                let free = (LOAD_SCALE as f64 * (1.0 - load)) as u64;
+            .map(|(route, props, load_milli)| {
+                let tokens = self.mint(&route, account);
+                let free = LOAD_SCALE.saturating_sub(load_milli) as u64;
                 Advisory {
                     props,
-                    reported_load: load,
+                    reported_load: load_milli as f64 / LOAD_SCALE as f64,
                     residual_bps: props.bandwidth_bps / LOAD_SCALE as u64 * free,
                     tokens,
                     route,
@@ -325,16 +315,11 @@ impl Directory {
     }
 
     /// Compute constrained k-shortest routes from a client's first
-    /// router to `dst` on the attached TE topology. Returns raw
-    /// [`TeRoute`]s, best first; empty when no topology is attached or
-    /// no feasible route exists.
+    /// router to `dst` on the link map. Returns raw [`TeRoute`]s, best
+    /// first; empty when no feasible route exists.
     pub fn te_query(&mut self, src_router: u32, dst: crate::Peer, q: &TeQuery) -> Vec<TeRoute> {
         self.te_queries += 1;
-        let routes = self
-            .te
-            .as_ref()
-            .map(|t| t.k_routes(src_router, dst, q))
-            .unwrap_or_default();
+        let routes = self.te.k_routes(src_router, dst, q);
         self.te_routes_returned += routes.len() as u64;
         self.te_detours += routes.iter().filter(|r| r.detour).count() as u64;
         if routes.is_empty() {
@@ -359,38 +344,17 @@ impl Directory {
         let routes = self.te_query(src_router, dst, q);
         let mut advisories = Vec::with_capacity(routes.len());
         for r in &routes {
-            let record = self
+            let Some(route) = self
                 .te
-                .as_ref()
-                .and_then(|t| t.record(r, access.clone(), endpoint_selector.to_vec()));
-            let Some(route) = record else {
+                .record(r, access.clone(), endpoint_selector.to_vec())
+            else {
                 continue;
             };
-            let tokens = match self.issue.as_mut() {
-                None => Vec::new(),
-                Some(issue) => route
-                    .hops
-                    .iter()
-                    .map(|h| {
-                        issue
-                            .minter
-                            .mint(Grant {
-                                router_id: h.router_id,
-                                port: h.port,
-                                max_priority: issue.max_priority,
-                                reverse_ok: issue.reverse_ok,
-                                account,
-                                byte_limit: issue.byte_limit,
-                                expiry_s: issue.expiry_s,
-                            })
-                            .to_vec()
-                    })
-                    .collect(),
-            };
-            let (_, load) = self.route_status(&route);
+            let tokens = self.mint(&route, account);
+            let (_, load_milli) = self.route_status(&route);
             advisories.push(Advisory {
                 props: route.properties(),
-                reported_load: load,
+                reported_load: load_milli as f64 / LOAD_SCALE as f64,
                 residual_bps: r.residual_bps,
                 tokens,
                 route,
@@ -420,6 +384,7 @@ impl Default for Directory {
 mod tests {
     use super::*;
     use crate::route::{AccessSpec, HopSpec, Security};
+    use sirpent_sim::SimTime;
 
     fn access() -> AccessSpec {
         AccessSpec {
@@ -496,6 +461,11 @@ mod tests {
     fn down_links_excluded_loaded_links_deprioritized() {
         let (client, service) = names();
         let mut d = Directory::new();
+        for router in [1, 2] {
+            let metrics = crate::te::LinkMetrics::basic();
+            d.te_mut()
+                .add_link(router, 2, crate::Peer::Host(9), metrics);
+        }
         let via1 = route(vec![hop(1, 2, 10_000_000, 100, 1)]);
         let via2 = route(vec![hop(2, 2, 10_000_000, 200, 1)]);
         d.register_route(&service, Name::root(), via1.clone());
@@ -639,7 +609,7 @@ mod tests {
                 byte_limit: 0,
                 expiry_s: 0,
             });
-        d.te_mut().unwrap().set_load_milli(0, 0, 250);
+        d.te_mut().set_load_milli(0, 0, 250);
         let q = TeQuery {
             k: 1,
             ..TeQuery::default()
@@ -654,6 +624,51 @@ mod tests {
         let b = key.unseal(&adv.tokens[0]).unwrap();
         assert_eq!(b.account, 42);
         assert_eq!(b.port, adv.route.hops[0].port);
+    }
+
+    /// One report on one declared link reaches every consumer of the
+    /// link map at once: registered-route queries, TE advisories, and
+    /// epoch-keyed client caches.
+    #[test]
+    fn one_report_is_seen_by_query_te_advisories_and_caches() {
+        let (client, service) = names();
+        let mut d = Directory::new().with_te(te_diamond());
+        let k2 = TeQuery {
+            k: 2,
+            ..TeQuery::default()
+        };
+        let advs = d.te_advisories(0, crate::Peer::Host(9), &k2, &access(), &[], 1);
+        assert_eq!(advs.len(), 2);
+        let (fast, slow) = (advs[0].route.clone(), advs[1].route.clone());
+        assert_eq!(fast.hops[1].router_id, 1, "fast arm crosses router 1");
+        d.register_route(&service, Name::root(), fast.clone());
+        d.register_route(&service, Name::root(), slow.clone());
+        let mut cache = crate::RouteCache::new(SimDuration::from_secs(3600));
+        cache.put(service.clone(), advs, SimTime::ZERO, d.topology_epoch());
+
+        // Load on the fast arm's trunk: query() deprioritizes it, both
+        // paths report the same load, and the cached set goes stale.
+        d.report_load(1, 0, 0.95);
+        let r = d.query(&client, &service, Preference::LowDelay, 4, 1);
+        assert_eq!(r.advisories[0].route, slow);
+        assert_eq!(r.advisories[1].route, fast);
+        let te = d.te_advisories(0, crate::Peer::Host(9), &k2, &access(), &[], 1);
+        let te_fast = te.iter().find(|a| a.route == fast).unwrap();
+        assert_eq!(te_fast.reported_load, r.advisories[1].reported_load);
+        assert!((te_fast.reported_load - 0.95).abs() < 1e-9);
+        assert!(cache
+            .get(&service, SimTime(1), d.topology_epoch())
+            .is_none());
+        assert_eq!(cache.epoch_evictions, 1);
+
+        // Failure of the same link: both paths drop the fast arm.
+        d.report_down(1, 0);
+        let r = d.query(&client, &service, Preference::LowDelay, 4, 1);
+        assert_eq!(r.advisories.len(), 1);
+        assert_eq!(r.advisories[0].route, slow);
+        let te = d.te_advisories(0, crate::Peer::Host(9), &k2, &access(), &[], 1);
+        assert_eq!(te.len(), 1);
+        assert_eq!(te[0].route, slow);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use sirpent_sim::SimDuration;
 
-use crate::alternates::Peer;
 use crate::route::{AccessSpec, HopSpec, RouteRecord, Security};
 
 /// Load is tracked in integer milli-units (0 = idle, 1000 = line rate)
@@ -38,6 +37,15 @@ pub const LOAD_SCALE: u32 = 1000;
 /// (§6.1 bounds the VIPER decision at 1 µs) — it makes hop count matter
 /// on links with negligible propagation delay.
 const HOP_NS: u64 = 1_000;
+
+/// A node a router port can lead to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Peer {
+    /// Another router, by router id.
+    Router(u32),
+    /// An end host, by host id.
+    Host(u32),
+}
 
 /// Static link weights, as registered by monitoring/provisioning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,13 +77,13 @@ impl LinkMetrics {
 }
 
 #[derive(Debug, Clone, Copy)]
-struct TeLink {
-    peer: Peer,
+pub(crate) struct TeLink {
+    pub(crate) peer: Peer,
     metrics: LinkMetrics,
     /// Offered load in milli-units of the link rate (may exceed
     /// [`LOAD_SCALE`] when oversubscribed).
-    load_milli: u32,
-    down: bool,
+    pub(crate) load_milli: u32,
+    pub(crate) down: bool,
 }
 
 /// Attribute bounds and search parameters for a TE query (§3's
@@ -156,7 +164,7 @@ impl TeRoute {
 /// that key, so route grants are reproducible run-to-run.
 #[derive(Debug, Clone, Default)]
 pub struct TeTopology {
-    links: BTreeMap<(u32, u8), TeLink>,
+    pub(crate) links: BTreeMap<(u32, u8), TeLink>,
     epoch: u64,
     congestion_milli: u32,
 }
@@ -300,9 +308,9 @@ impl TeTopology {
             .unwrap_or(false)
     }
 
-    /// Number of registered directed links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
+    /// The link `router`'s output `port` is wired to, if known.
+    pub(crate) fn link(&self, router: u32, port: u8) -> Option<&TeLink> {
+        self.links.get(&(router, port))
     }
 
     fn residual_of(l: &TeLink) -> u64 {

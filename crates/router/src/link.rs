@@ -289,15 +289,6 @@ impl LinkFrame {
         let inner = LinkFrame::from_p2p_bytes(&b[ethernet::HEADER_LEN..])?;
         Ok((hdr, inner))
     }
-
-    /// The link-header overhead this frame pays on a point-to-point
-    /// link.
-    pub fn p2p_overhead(&self) -> usize {
-        match self {
-            LinkFrame::Sirpent { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// Outcome of decoding a received frame against a port's link kind —

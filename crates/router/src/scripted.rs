@@ -107,11 +107,6 @@ impl ScriptedHost {
         self.plan.push(Planned { at, port, bytes });
     }
 
-    /// Convenience: plan a link frame on a point-to-point port.
-    pub fn plan_p2p(&mut self, at: SimTime, port: u8, frame: &LinkFrame) {
-        self.plan(at, port, frame.to_p2p_bytes());
-    }
-
     /// Sort pending plans and arm the next timer. Call after adding
     /// plans; may be called repeatedly mid-simulation to arm plans added
     /// later.
@@ -135,18 +130,6 @@ impl ScriptedHost {
                 LinkFrame::from_p2p_bytes(&r.bytes)
                     .ok()
                     .map(|f| (r.last_bit, f))
-            })
-            .collect()
-    }
-
-    /// Received frames decoded as Ethernet (decode failures skipped).
-    pub fn received_ethernet(&self) -> Vec<(SimTime, ethernet::Repr, LinkFrame)> {
-        self.received
-            .iter()
-            .filter_map(|r| {
-                LinkFrame::from_ethernet_bytes(&r.bytes)
-                    .ok()
-                    .map(|(h, f)| (r.last_bit, h, f))
             })
             .collect()
     }

@@ -413,10 +413,8 @@ pub fn plan(spec: &TeWorkload) -> TePlan {
         // every hop it crosses, so later queries route around it.
         let load = flow_load_milli(&spec, pkts);
         let hops: Vec<(u32, u8)> = route.hops.clone();
-        if let Some(t) = dir.te_mut() {
-            for &(router, port) in &hops {
-                t.add_load_milli(router, port, load);
-            }
+        for &(router, port) in &hops {
+            dir.te_mut().add_load_milli(router, port, load);
         }
 
         flows.push(FlowPlan {

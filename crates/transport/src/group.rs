@@ -81,11 +81,6 @@ impl GroupSender {
         self.acked & full == full
     }
 
-    /// Total transmissions performed (initial + retransmissions).
-    pub fn total_sends(&self) -> u32 {
-        self.sends.iter().sum()
-    }
-
     /// The all-members mask for a group of `n`.
     pub fn full_mask(n: usize) -> u32 {
         if n >= 32 {

@@ -251,16 +251,6 @@ impl<T: AsRef<[u8]>> Segment<T> {
         self.buffer
     }
 
-    /// The `portInfoLength` byte (may be the 255 escape).
-    pub fn port_info_len_field(&self) -> u8 {
-        self.buffer.as_ref()[field::PORT_INFO_LEN]
-    }
-
-    /// The `portTokenLength` byte (may be the 255 escape).
-    pub fn port_token_len_field(&self) -> u8 {
-        self.buffer.as_ref()[field::PORT_TOKEN_LEN]
-    }
-
     /// The output-port identifier.
     pub fn port(&self) -> u8 {
         self.buffer.as_ref()[field::PORT]

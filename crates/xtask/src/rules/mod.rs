@@ -118,6 +118,7 @@ pub const DATAPLANE_FILES: &[&str] = &[
     "crates/sim/src/shard.rs",
     "crates/sim/src/sync.rs",
     "crates/directory/src/te.rs",
+    "crates/directory/src/alternates.rs",
     "crates/simtest/src/te.rs",
 ];
 
@@ -129,8 +130,12 @@ pub const CORE_CRATES: &[&str] = &["sim", "router", "wire", "simtest", "telemetr
 /// Individual files outside [`CORE_CRATES`] held to the same
 /// determinism contract: the TE route search must return byte-identical
 /// k-route sets for a given (topology, query) — client spreading and
-/// the `exp_te` digests replay it.
-pub const CORE_FILES: &[&str] = &["crates/directory/src/te.rs"];
+/// the `exp_te` digests replay it — and route protection must grant the
+/// same alternate branches for the same link map.
+pub const CORE_FILES: &[&str] = &[
+    "crates/directory/src/te.rs",
+    "crates/directory/src/alternates.rs",
+];
 
 /// Crates holding node/router logic, where every random draw must go
 /// through `Context::rng()` so per-shard RNG streams stay aligned.

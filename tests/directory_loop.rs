@@ -4,7 +4,8 @@
 
 use sirpent::compile::CompiledRoute;
 use sirpent::directory::{
-    AccessSpec, Directory, HopSpec, Name, Preference, RouteCache, RouteRecord, Security,
+    AccessSpec, Directory, HopSpec, LinkMetrics, Name, Peer, Preference, RouteCache, RouteRecord,
+    Security,
 };
 use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
 use sirpent::router::viper::ViperConfig;
@@ -69,8 +70,13 @@ fn requery_after_total_route_failure_recovers_service() {
     let (l2a, l2b) = net.sim.p2p(r2, 2, server, 1, RATE, PROP);
     let mut sim = net.into_sim();
 
-    // Directory with both routes; client-side cache.
+    // Directory with both routes and the links they cross; client-side
+    // cache.
     let mut dir = Directory::new();
+    for router in [1, 2] {
+        let metrics = LinkMetrics::basic();
+        dir.te_mut().add_link(router, 2, Peer::Host(0x5), metrics);
+    }
     let svc = Name::parse("db.hq.example");
     let me = Name::parse("c.branch.example");
     dir.register_route(
