@@ -2,11 +2,12 @@
 //! topology, serial vs 8 spatial shards on 1/2/4/8 worker threads.
 //!
 //! The workload is the RNG-free relay mesh from `sirpent_simtest::topo`
-//! (seeded random-regular graph, hot-potato TTL forwarding through
-//! content-hashed delays), so every configuration must also produce a
-//! byte-identical run digest — the bench doubles as a correctness gate:
-//! a speedup obtained by reordering events would show up as a digest
-//! mismatch, not a win.
+//! (seeded random-regular graph; source-routed frames on hash-walked
+//! routes, forwarded by the shared `sirpent_simtest::relay::Relay`
+//! through content-hashed delays), so every configuration must also
+//! produce a byte-identical run digest — the bench doubles as a
+//! correctness gate: a speedup obtained by reordering events would show
+//! up as a digest mismatch, not a win.
 //!
 //! Run: `cargo run --release -p sirpent-bench --bin exp_scale_parallel`.
 //! Writes `results/BENCH_7.json` (uploaded as a CI artifact by the
@@ -21,6 +22,7 @@ use std::time::Instant;
 use serde::Serialize;
 use sirpent::sim::{ShardedSimulator, SimTime};
 use sirpent_bench::{write_json, Table};
+use sirpent_simtest::relay::{self, RunDigest};
 use sirpent_simtest::topo::{self, TopoShape, TopoSpec};
 
 /// Shard count for every parallel configuration.
@@ -82,14 +84,14 @@ struct Report {
 }
 
 /// Best-of-N serial run; returns (wall_ns, report).
-fn run_serial(spec: &TopoSpec) -> (u64, topo::TopoReport) {
-    let mut best: Option<(u64, topo::TopoReport)> = None;
+fn run_serial(spec: &TopoSpec) -> (u64, RunDigest) {
+    let mut best: Option<(u64, RunDigest)> = None;
     for _ in 0..TIMING_RUNS {
         let mut sim = topo::build(spec);
         let t = Instant::now();
         sim.run_until(SimTime(spec.horizon_ns));
         let wall = t.elapsed().as_nanos() as u64;
-        let report = topo::digest(&sim, spec.nodes);
+        let report = relay::digest(&sim, spec.nodes);
         best = Some(match best {
             Some(b) if b.0 <= wall => b,
             _ => (wall, report),
@@ -101,8 +103,8 @@ fn run_serial(spec: &TopoSpec) -> (u64, topo::TopoReport) {
 /// Best-of-N sharded run at a thread count; only the parallel phase is
 /// timed (split and merge are one-time costs a long simulation
 /// amortizes away; they are reported via the digest path regardless).
-fn run_sharded(spec: &TopoSpec, threads: usize) -> (u64, topo::TopoReport) {
-    let mut best: Option<(u64, topo::TopoReport)> = None;
+fn run_sharded(spec: &TopoSpec, threads: usize) -> (u64, RunDigest) {
+    let mut best: Option<(u64, RunDigest)> = None;
     for _ in 0..TIMING_RUNS {
         let sim = topo::build(spec);
         let mut sharded = ShardedSimulator::split(sim, SHARDS);
@@ -110,7 +112,7 @@ fn run_sharded(spec: &TopoSpec, threads: usize) -> (u64, topo::TopoReport) {
         let t = Instant::now();
         sharded.run_until(SimTime(spec.horizon_ns), threads);
         let wall = t.elapsed().as_nanos() as u64;
-        let report = topo::digest(&sharded.into_serial(), spec.nodes);
+        let report = relay::digest(&sharded.into_serial(), spec.nodes);
         best = Some(match best {
             Some(b) if b.0 <= wall => b,
             _ => (wall, report),

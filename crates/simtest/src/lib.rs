@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod invariants;
+pub mod relay;
 pub mod scenario;
 pub mod shrink;
 pub mod spec;
@@ -37,14 +38,15 @@ pub mod te;
 pub mod topo;
 
 pub use invariants::{check_corpus, check_exact, diverted_replies_route_back};
+pub use relay::{Relay, RunDigest};
 pub use scenario::{
     build, build_stripped, build_with_queue, execute, execute_sharded, execute_stripped,
     execute_with_queue, outcome_digest, run, run_traced, ReplyRecord, RunReport,
 };
 pub use shrink::{shrink, write_fixture};
 pub use spec::{Profile, Scenario};
-pub use te::{FlowNode, TePlan, TeRunReport, TeWorkload};
-pub use topo::{RelayNode, TopoReport, TopoShape, TopoSpec};
+pub use te::{TePlan, TeRunReport, TeWorkload};
+pub use topo::{TopoShape, TopoSpec};
 
 use sirpent_sim::{Context, Event, FrameId, Node, SimTime};
 use std::any::Any;

@@ -24,36 +24,19 @@
 //! executes the planned source routes on the real engine; per-channel
 //! busy time gives ground-truth trunk utilization.
 //!
-//! Digests are shard-invariant by the same two devices as
-//! [`topo`](crate::topo): content-hashed forward delays and commutative
+//! The flows run on the shared source-routing [`Relay`], whose digests
+//! are shard-invariant by content-hashed forward delays and commutative
 //! per-node record folds. Packets of one flow are byte-identical, so
 //! even a residual same-instant tie between them cannot surface.
 
-use std::any::Any;
-use std::collections::BTreeMap;
-
 use sirpent_directory::te::{LinkMetrics, TeQuery};
 use sirpent_directory::{Directory, Peer, TeTopology};
-use sirpent_sim::{
-    ChannelId, Context, Event, Node, NodeId, ShardedSimulator, SimDuration, SimTime, Simulator,
-};
+use sirpent_sim::{ChannelId, NodeId, SimDuration, SimTime, Simulator};
 use sirpent_transport::weighted_pick;
 
+use crate::relay::{self, splitmix64, Relay, RunDigest};
 use crate::scenario::fnv64;
 use crate::topo::TopoShape;
-
-/// Timer keys at or above this value address pending forwards; keys
-/// below it index a source's planned packet shots.
-const PENDING_BASE: u64 = 1 << 32;
-
-/// SplitMix64 finalizer — seed-derived structure only, never run-time
-/// randomness.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One TE workload: a mesh, a flash crowd, and a routing policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,16 +126,10 @@ impl TeWorkload {
         }
     }
 
-    /// Clamp every field into the supported envelope (mirrors
-    /// [`crate::topo::TopoSpec::normalize`]).
+    /// Clamp every field into the supported envelope.
     pub fn normalize(&mut self) {
         self.nodes = self.nodes.clamp(8, 10_000);
-        if let TopoShape::Grid { cols } = &mut self.shape {
-            *cols = (*cols).clamp(2, self.nodes);
-        }
-        if let TopoShape::Random { degree } = &mut self.shape {
-            *degree = (*degree).clamp(2, 8) & !1;
-        }
+        self.shape.normalize(self.nodes);
         self.flows = self.flows.clamp(1, 65_536);
         self.hotspots = self.hotspots.clamp(1, self.nodes / 2);
         self.k = self.k.clamp(1, 8);
@@ -166,22 +143,15 @@ impl TeWorkload {
     }
 
     /// The undirected adjacency this workload runs over — the
-    /// [`crate::topo::TopoSpec::adjacency`] derivation (so a node's
-    /// port for a link is the link's index in its list), **augmented
-    /// with a ring**: seeded circulant offsets can share a factor with
-    /// the node count and split the mesh into components, which a
-    /// hot-potato relay never notices but end-to-end flows cannot
-    /// tolerate. The extra `i — i+1` edges guarantee one component for
-    /// every shape and seed; existing edges and ports are unchanged
-    /// (ring ports append after the shape's own).
+    /// [`TopoShape::adjacency`] derivation (so a node's port for a link
+    /// is the link's index in its list), **augmented with a ring**:
+    /// seeded circulant offsets can share a factor with the node count
+    /// and split the mesh into components, which end-to-end flows
+    /// cannot tolerate. The extra `i — i+1` edges guarantee one
+    /// component for every shape and seed; existing edges and ports are
+    /// unchanged (ring ports append after the shape's own).
     pub fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = crate::topo::TopoSpec {
-            seed: self.seed,
-            shape: self.shape,
-            nodes: self.nodes,
-            ..crate::topo::TopoSpec::from_seed(self.seed)
-        }
-        .adjacency();
+        let mut adj = self.shape.adjacency(self.nodes, self.seed);
         let n = adj.len();
         for i in 0..n {
             let j = (i + 1) % n;
@@ -439,240 +409,39 @@ pub fn plan(spec: &TeWorkload) -> TePlan {
     }
 }
 
-/// A source-routing flow node: planned timer keys inject packets whose
-/// header carries the full out-port list; transit nodes forward along
-/// it after a content-hashed delay; the final node records delivery.
-#[derive(Default)]
-pub struct FlowNode {
-    /// Frame payload length this node emits.
-    payload_len: usize,
-    /// Flows originating here: `(out-ports, marker)`.
-    flows: Vec<(Vec<u8>, u64)>,
-    /// Packet shots, indexed by kick key: local flow index.
-    shots: Vec<u32>,
-    /// Forwards awaiting their hashed delay: `(timer key, port, bytes)`.
-    pending: Vec<(u64, u8, Vec<u8>)>,
-    /// Next pending timer key (offset under [`PENDING_BASE`]).
-    next_pending: u64,
-    /// Frames transmitted (fresh + forwarded).
-    pub tx: u64,
-    /// Transmissions the engine refused (stays zero here).
-    pub tx_fail: u64,
-    /// Frames received (transit + final).
-    pub rx: u64,
-    /// Frames delivered here (route exhausted).
-    pub delivered: u64,
-    /// Commutative fold of per-arrival record hashes.
-    pub acc: u64,
-    /// Per-flow delivery: marker → (packets, last arrival ns).
-    pub done: BTreeMap<u64, (u32, u64)>,
-}
-
-impl FlowNode {
-    fn frame_bytes(&self, ports: &[u8], marker: u64) -> Vec<u8> {
-        let len = ports.len().min(255);
-        let mut v = Vec::with_capacity(self.payload_len);
-        v.push(1); // pos: next port index after the source's own send
-        v.push(len as u8);
-        v.extend_from_slice(ports.get(..len).unwrap_or(ports));
-        v.extend_from_slice(&marker.to_le_bytes());
-        // Deterministic pad so corruption anywhere would show in `acc`.
-        while v.len() < self.payload_len {
-            let i = v.len();
-            v.push((marker >> (8 * (i % 8))) as u8 ^ i as u8);
-        }
-        v
-    }
-
-    fn transmit(&mut self, ctx: &mut Context<'_>, port: u8, bytes: Vec<u8>) {
-        match ctx.transmit(port, bytes) {
-            Ok(_) => self.tx += 1,
-            Err(_) => self.tx_fail += 1,
-        }
-    }
-}
-
-impl Node for FlowNode {
-    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
-        match ev {
-            Event::Timer { key } if key >= PENDING_BASE => {
-                let Some(i) = self.pending.iter().position(|&(k, _, _)| k == key) else {
-                    return;
-                };
-                let (_, port, bytes) = self.pending.remove(i);
-                self.transmit(ctx, port, bytes);
-            }
-            Event::Timer { key } => {
-                let Some(&flow) = self.shots.get(key as usize) else {
-                    return;
-                };
-                let Some((ports, marker)) = self.flows.get(flow as usize).cloned() else {
-                    return;
-                };
-                let Some(first) = ports.first().copied() else {
-                    return;
-                };
-                let bytes = self.frame_bytes(&ports, marker);
-                self.transmit(ctx, first, bytes);
-            }
-            Event::Frame(fe) => {
-                let bytes = fe.frame.payload.to_vec();
-                self.rx += 1;
-                // Order-insensitive record fold: (arrival, port, bytes).
-                let mut rec = Vec::with_capacity(bytes.len() + 9);
-                rec.extend_from_slice(&ctx.now().as_nanos().to_le_bytes());
-                rec.push(fe.port);
-                rec.extend_from_slice(&bytes);
-                self.acc = self.acc.wrapping_add(fnv64(&rec));
-
-                let pos = bytes.first().copied().unwrap_or(0);
-                let len = bytes.get(1).copied().unwrap_or(0);
-                let marker_off = 2 + len as usize;
-                let marker = bytes
-                    .get(marker_off..marker_off + 8)
-                    .and_then(|m| <[u8; 8]>::try_from(m).ok())
-                    .map(u64::from_le_bytes);
-                let Some(marker) = marker else {
-                    return;
-                };
-                if pos >= len {
-                    // Route exhausted: this is the destination.
-                    self.delivered += 1;
-                    let now = ctx.now().as_nanos();
-                    self.done
-                        .entry(marker)
-                        .and_modify(|e| {
-                            e.0 += 1;
-                            e.1 = e.1.max(now);
-                        })
-                        .or_insert((1, now));
-                    return;
-                }
-                let Some(port) = bytes.get(2 + pos as usize).copied() else {
-                    return;
-                };
-                let mut fwd = bytes;
-                if let Some(b) = fwd.get_mut(0) {
-                    *b = pos + 1;
-                }
-                // Content-hashed sub-propagation delay: decorrelates
-                // same-instant transits so engine tie-break order can
-                // never surface in the digest (DESIGN.md §11).
-                let me = ctx.me().0 as u64;
-                let h = splitmix64(fnv64(&fwd) ^ me ^ ctx.now().as_nanos());
-                let delay = 1 + h % 4_093;
-                let key = PENDING_BASE + self.next_pending;
-                self.next_pending += 1;
-                self.pending.push((key, port, fwd));
-                ctx.schedule_in(SimDuration(delay), key);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Instantiate a planned crowd: flow nodes, full-duplex links from the
-/// adjacency, and one kick per packet. Returns the simulator and every
-/// directed channel for utilization accounting.
+/// Instantiate a planned crowd: a relay mesh over the adjacency and one
+/// kick per packet. Returns the simulator and every directed channel
+/// for utilization accounting.
 pub fn build(spec: &TeWorkload, plan: &TePlan) -> (Simulator, Vec<ChannelId>) {
     let mut spec = spec.clone();
     spec.normalize();
     let adj = spec.adjacency();
-    let mut sim = Simulator::new(spec.seed);
-    let ids: Vec<NodeId> = adj
-        .iter()
-        .map(|nbrs| {
-            let _ = nbrs;
-            sim.add_node(Box::new(FlowNode {
-                payload_len: spec.payload_len,
-                ..FlowNode::default()
-            }))
-        })
-        .collect();
-    let mut channels: Vec<ChannelId> = Vec::new();
-    for (a, nbrs) in adj.iter().enumerate() {
-        for (pa, &b) in nbrs.iter().enumerate() {
-            if b < a {
-                continue; // one p2p per undirected edge
-            }
-            let Some(pb) = adj.get(b).and_then(|l| l.iter().position(|&x| x == a)) else {
-                continue;
-            };
-            let (Some(&na), Some(&nb)) = (ids.get(a), ids.get(b)) else {
-                continue;
-            };
-            let (ab, ba) = sim.p2p(
-                na,
-                pa as u8,
-                nb,
-                pb as u8,
-                spec.rate_bps,
-                SimDuration(spec.prop_ns),
-            );
-            channels.push(ab);
-            channels.push(ba);
-        }
-    }
+    let (mut sim, channels) = relay::mesh(
+        &adj,
+        spec.seed,
+        spec.payload_len,
+        spec.rate_bps,
+        spec.prop_ns,
+    );
 
     // Packet pacing: streams at a quarter of line rate, plus a small
     // content-hashed jitter so two flows never beat in lockstep.
     let pkt_ns = spec.payload_len as u64 * 8 * 1_000_000_000 / spec.rate_bps.max(1);
     let spacing = (pkt_ns * 4).max(1);
-    for flow in &plan.flows {
-        let Some(&node) = ids.get(flow.src) else {
-            continue;
-        };
-        let local = {
-            let fnode: &mut FlowNode = sim.node_mut(node);
-            fnode.flows.push((flow.ports.clone(), flow.marker));
-            (fnode.flows.len() - 1) as u32
-        };
-        for j in 0..flow.pkts as u64 {
+    for flow in plan.flows.iter().filter(|f| f.src < adj.len()) {
+        let times = (0..flow.pkts as u64).map(|j| {
             let jitter = splitmix64(flow.marker ^ j) % (spacing / 2 + 1);
-            let at = flow.start_ns + j * spacing + jitter;
-            let key = {
-                let fnode = sim.node_mut::<FlowNode>(node);
-                fnode.shots.push(local);
-                (fnode.shots.len() - 1) as u64
-            };
-            sim.kick(SimTime(at), node, key);
-        }
+            SimTime(flow.start_ns + j * spacing + jitter)
+        });
+        relay::inject(
+            &mut sim,
+            NodeId(flow.src),
+            flow.ports.clone(),
+            flow.marker,
+            times,
+        );
     }
     (sim, channels)
-}
-
-/// Canonical digest of a finished TE run: engine event count plus every
-/// node's counters, record fold, and per-flow delivery fold.
-pub fn digest(sim: &Simulator, nodes: usize) -> (String, u64) {
-    let mut out = String::with_capacity(nodes * 56 + 32);
-    out.push_str("te-digest v1\n");
-    out.push_str(&format!("events={}\n", sim.events_dispatched()));
-    for i in 0..nodes {
-        let n: &FlowNode = sim.node(NodeId(i));
-        // BTreeMap iteration order is deterministic, so a sequential
-        // fold of the delivery map is stable across shard counts.
-        let mut dacc = 0xcbf2_9ce4_8422_2325u64;
-        for (&marker, &(count, last)) in &n.done {
-            let mut rec = Vec::with_capacity(20);
-            rec.extend_from_slice(&marker.to_le_bytes());
-            rec.extend_from_slice(&count.to_le_bytes());
-            rec.extend_from_slice(&last.to_le_bytes());
-            dacc = dacc.wrapping_mul(0x1_0000_01b3) ^ fnv64(&rec);
-        }
-        out.push_str(&format!(
-            "n{} tx={} txf={} rx={} del={} acc={:016x} dacc={:016x}\n",
-            i, n.tx, n.tx_fail, n.rx, n.delivered, n.acc, dacc
-        ));
-    }
-    (out, sim.events_dispatched())
 }
 
 /// Nearest-rank percentile of a sorted slice.
@@ -691,7 +460,7 @@ fn report(
     sim: &Simulator,
     channels: &[ChannelId],
 ) -> TeRunReport {
-    let (digest, events) = digest(sim, spec.nodes);
+    let RunDigest { digest, events } = relay::digest(sim, spec.nodes);
 
     let mut injected = 0u64;
     let mut delivered = 0u64;
@@ -703,7 +472,7 @@ fn report(
     for flow in &plan.flows {
         injected += flow.pkts as u64;
         let got = sim
-            .node::<FlowNode>(NodeId(flow.dst))
+            .node::<Relay>(NodeId(flow.dst))
             .done
             .get(&flow.marker)
             .copied();
@@ -769,15 +538,8 @@ pub fn run(spec: &TeWorkload, plan: &TePlan, shards: usize, threads: usize) -> T
     let mut spec = spec.clone();
     spec.normalize();
     let (sim, channels) = build(&spec, plan);
-    let sim = if shards <= 1 {
-        let mut sim = sim;
-        sim.run_until(SimTime(spec.horizon_ns));
-        sim
-    } else {
-        let mut sharded = ShardedSimulator::split(sim, shards);
-        sharded.run_until(SimTime(spec.horizon_ns), threads);
-        sharded.into_serial()
-    };
+    let split = (shards > 1).then_some((shards, threads));
+    let sim = relay::run(sim, SimTime(spec.horizon_ns), split);
     report(&spec, plan, &sim, &channels)
 }
 

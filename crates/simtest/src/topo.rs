@@ -4,38 +4,22 @@
 //!
 //! The [`spec`](crate::spec) module's scenario generator deliberately
 //! caps rails at 12 nodes so chaos invariants stay tractable; scale
-//! runs need orders of magnitude more. A [`TopoSpec`] describes a
-//! relay mesh driven by [`RelayNode`]s — hot-potato forwarding with a
-//! TTL, **zero RNG draws anywhere** — so a run's digest depends only on
-//! the topology and workload, not on shard count or thread count: the
-//! same spec produces byte-identical digests serial, sharded 2/4/8
-//! ways, on any number of worker threads.
+//! runs need orders of magnitude more. A [`TopoSpec`] describes a mesh
+//! of source-routing [`Relay`](crate::relay::Relay)s with **zero RNG
+//! draws anywhere**, so a run's digest depends only on the topology and
+//! workload, not on shard count or thread count: the same spec produces
+//! byte-identical digests serial, sharded 2/4/8 ways, on any number of
+//! worker threads.
 //!
-//! Two design points keep digests shard-invariant (DESIGN.md §11):
-//! * every forward is re-scheduled through a content-hashed timer delay,
-//!   so two frames virtually never transit the same node at the same
-//!   nanosecond (the only place engine tie-break order could leak);
-//! * per-node accumulators fold delivery records commutatively, so the
-//!   residual tie order — if one ever occurs — still cannot show.
+//! Each injection is a frame whose route is fixed at build time by a
+//! seed-free walk: from its source, a per-hop hash of `(node, marker,
+//! hops left)` picks the next port for `ttl + 1` hops (see `route`).
+//! The relay then forwards it along that route like any other source
+//! route, and the node the walk ends at counts the delivery.
 
-use std::any::Any;
+use sirpent_sim::{NodeId, SimTime, Simulator};
 
-use sirpent_sim::{Context, Event, Node, ShardedSimulator, SimDuration, SimTime, Simulator};
-
-use crate::scenario::fnv64;
-
-/// Timer keys at or above this value address pending forwards; keys
-/// below it index a source's planned injections.
-const PENDING_BASE: u64 = 1 << 32;
-
-/// SplitMix64 finalizer — used for seed-derived structure (offsets,
-/// send times), never for run-time randomness.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::relay::{self, splitmix64, RunDigest};
 
 /// Topology family of a [`TopoSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +40,83 @@ pub enum TopoShape {
     },
 }
 
+impl TopoShape {
+    /// Clamp the shape's parameter for a mesh of `nodes` (≥ 3) nodes.
+    /// Idempotent; [`TopoSpec`] and [`crate::te::TeWorkload`] both
+    /// normalize through here.
+    pub fn normalize(&mut self, nodes: usize) {
+        match self {
+            TopoShape::Ring => {}
+            TopoShape::Grid { cols } => {
+                *cols = (*cols).clamp(2, nodes);
+            }
+            TopoShape::Random { degree } => {
+                // Even, at least 2, and low enough that distinct
+                // circulant offsets exist (and ports fit in u8).
+                *degree = (*degree & !1).clamp(2, 8.min((nodes - 1) & !1));
+            }
+        }
+    }
+
+    /// Undirected adjacency lists for `nodes` nodes of this shape,
+    /// deterministically derived from `seed`; a node's port number for a
+    /// link is the link's index in its list (degree stays ≤ 8, so ports
+    /// fit comfortably in `u8`).
+    pub fn adjacency(self, nodes: usize, seed: u64) -> Vec<Vec<usize>> {
+        let n = nodes;
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let connect = |adj: &mut Vec<Vec<usize>>, a: usize, b: usize| {
+            if a == b || adj[a].contains(&b) {
+                return;
+            }
+            adj[a].push(b);
+            adj[b].push(a);
+        };
+        match self {
+            TopoShape::Ring => {
+                for i in 0..n {
+                    connect(&mut adj, i, (i + 1) % n);
+                }
+            }
+            TopoShape::Grid { cols } => {
+                for i in 0..n {
+                    if (i + 1) % cols != 0 && i + 1 < n {
+                        connect(&mut adj, i, i + 1);
+                    }
+                    if i + cols < n {
+                        connect(&mut adj, i, i + cols);
+                    }
+                }
+            }
+            TopoShape::Random { degree } => {
+                // `degree/2` distinct circulant offsets from the seed:
+                // regular, connected for offset 1-free graphs often
+                // enough, and fully reproducible. Collisions probe to
+                // the next unused offset.
+                let half = n / 2;
+                let mut offsets: Vec<u64> = Vec::new();
+                let mut j = 0u64;
+                while offsets.len() < degree / 2 {
+                    let mut off = 1 + splitmix64(seed ^ (0xC1AC ^ j)) % half.max(1) as u64;
+                    while offsets.contains(&off) {
+                        off = 1 + (off % half.max(1) as u64);
+                    }
+                    offsets.push(off);
+                    j += 1;
+                }
+                for off in offsets {
+                    for i in 0..n {
+                        connect(&mut adj, i, (i + off as usize) % n);
+                    }
+                }
+            }
+        }
+        adj
+    }
+}
+
 /// A deterministic large-topology workload: shape + node count +
-/// sources that each inject TTL-limited relay frames.
+/// sources that each inject `ttl + 1`-hop source-routed frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoSpec {
     /// Master seed: derives offsets, send times, and markers.
@@ -70,9 +129,10 @@ pub struct TopoSpec {
     pub sources: usize,
     /// Frames injected per source.
     pub frames_per_source: usize,
-    /// Hop budget per frame; each relay decrements, delivery at zero.
+    /// Hop budget per frame: its route has `ttl + 1` ports.
     pub ttl: u8,
-    /// Frame payload length in bytes (TTL byte + 8-byte marker + pad).
+    /// Frame payload length in bytes (pos + len + `ttl + 1` ports +
+    /// 8-byte marker + pad, so at least `ttl + 11`).
     pub payload_len: usize,
     /// Propagation delay of every link, nanoseconds.
     pub prop_ns: u64,
@@ -81,16 +141,6 @@ pub struct TopoSpec {
     /// Injection window: all source sends land in `[1us, horizon/2]`,
     /// and runs execute until `horizon_ns`.
     pub horizon_ns: u64,
-}
-
-/// What one topo run produced: enough to compare runs for byte
-/// equality and to rate engine throughput.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopoReport {
-    /// Canonical per-node digest of the run (see [`digest`]).
-    pub digest: String,
-    /// Total events the engine dispatched.
-    pub events: u64,
 }
 
 impl TopoSpec {
@@ -123,178 +173,18 @@ impl TopoSpec {
         spec
     }
 
-    /// Clamp every field into its runnable range. Idempotent; both the
-    /// seed generator and the fixture parser funnel through here.
+    /// Clamp every field into its runnable range. Idempotent; the seed
+    /// generator funnels through here.
     pub fn normalize(&mut self) {
         self.nodes = self.nodes.clamp(3, 10_000);
-        match &mut self.shape {
-            TopoShape::Ring => {}
-            TopoShape::Grid { cols } => {
-                *cols = (*cols).clamp(2, self.nodes);
-            }
-            TopoShape::Random { degree } => {
-                // Even, at least 2, and low enough that distinct
-                // circulant offsets exist (and ports fit in u8).
-                *degree = (*degree & !1).clamp(2, 8.min((self.nodes - 1) & !1));
-            }
-        }
+        self.shape.normalize(self.nodes);
         self.sources = self.sources.clamp(1, self.nodes);
         self.frames_per_source = self.frames_per_source.clamp(1, 64);
         self.ttl = self.ttl.clamp(1, 32);
-        self.payload_len = self.payload_len.clamp(9, 1_500);
+        self.payload_len = self.payload_len.clamp(self.ttl as usize + 11, 1_500);
         self.prop_ns = self.prop_ns.clamp(500, 1_000_000);
         self.rate_bps = self.rate_bps.clamp(1_000_000, 10_000_000_000);
         self.horizon_ns = self.horizon_ns.clamp(1_000_000, 10_000_000_000);
-    }
-
-    /// Serialize as a normalized, line-oriented text fixture.
-    pub fn to_fixture_string(&self) -> String {
-        let shape = match self.shape {
-            TopoShape::Ring => "ring".to_string(),
-            TopoShape::Grid { cols } => format!("grid {cols}"),
-            TopoShape::Random { degree } => format!("random {degree}"),
-        };
-        format!(
-            "topo-fixture v1\n\
-             seed {}\n\
-             shape {}\n\
-             nodes {}\n\
-             sources {}\n\
-             frames {}\n\
-             ttl {}\n\
-             payload {}\n\
-             prop_ns {}\n\
-             rate_bps {}\n\
-             horizon_ns {}\n",
-            self.seed,
-            shape,
-            self.nodes,
-            self.sources,
-            self.frames_per_source,
-            self.ttl,
-            self.payload_len,
-            self.prop_ns,
-            self.rate_bps,
-            self.horizon_ns,
-        )
-    }
-
-    /// Parse a fixture produced by [`TopoSpec::to_fixture_string`]. The
-    /// result is normalized, so round-tripping is exact for any spec
-    /// that has itself been normalized.
-    pub fn from_fixture_string(text: &str) -> Result<TopoSpec, String> {
-        let mut lines = text.lines();
-        if lines.next().map(str::trim) != Some("topo-fixture v1") {
-            return Err("missing 'topo-fixture v1' header".into());
-        }
-        let mut spec = TopoSpec {
-            seed: 0,
-            shape: TopoShape::Ring,
-            nodes: 3,
-            sources: 1,
-            frames_per_source: 1,
-            ttl: 1,
-            payload_len: 16,
-            prop_ns: 2_000,
-            rate_bps: 10_000_000,
-            horizon_ns: 400_000_000,
-        };
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut it = line.split_whitespace();
-            let key = it.next().unwrap_or("");
-            let parse = |v: Option<&str>, what: &str| -> Result<u64, String> {
-                v.ok_or_else(|| format!("{what}: missing value"))?
-                    .parse::<u64>()
-                    .map_err(|e| format!("{what}: {e}"))
-            };
-            match key {
-                "seed" => spec.seed = parse(it.next(), "seed")?,
-                "shape" => match it.next() {
-                    Some("ring") => spec.shape = TopoShape::Ring,
-                    Some("grid") => {
-                        spec.shape = TopoShape::Grid {
-                            cols: parse(it.next(), "grid cols")? as usize,
-                        }
-                    }
-                    Some("random") => {
-                        spec.shape = TopoShape::Random {
-                            degree: parse(it.next(), "random degree")? as usize,
-                        }
-                    }
-                    other => return Err(format!("unknown shape {other:?}")),
-                },
-                "nodes" => spec.nodes = parse(it.next(), "nodes")? as usize,
-                "sources" => spec.sources = parse(it.next(), "sources")? as usize,
-                "frames" => spec.frames_per_source = parse(it.next(), "frames")? as usize,
-                "ttl" => spec.ttl = parse(it.next(), "ttl")?.min(255) as u8,
-                "payload" => spec.payload_len = parse(it.next(), "payload")? as usize,
-                "prop_ns" => spec.prop_ns = parse(it.next(), "prop_ns")?,
-                "rate_bps" => spec.rate_bps = parse(it.next(), "rate_bps")?,
-                "horizon_ns" => spec.horizon_ns = parse(it.next(), "horizon_ns")?,
-                other => return Err(format!("unknown key {other:?}")),
-            }
-        }
-        spec.normalize();
-        Ok(spec)
-    }
-
-    /// Undirected adjacency lists for this spec, deterministically
-    /// derived; a node's port number for a link is the link's index in
-    /// its list (degree stays ≤ 8, so ports fit comfortably in `u8`).
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
-        let n = self.nodes;
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let connect = |adj: &mut Vec<Vec<usize>>, a: usize, b: usize| {
-            if a == b || adj[a].contains(&b) {
-                return;
-            }
-            adj[a].push(b);
-            adj[b].push(a);
-        };
-        match self.shape {
-            TopoShape::Ring => {
-                for i in 0..n {
-                    connect(&mut adj, i, (i + 1) % n);
-                }
-            }
-            TopoShape::Grid { cols } => {
-                for i in 0..n {
-                    if (i + 1) % cols != 0 && i + 1 < n {
-                        connect(&mut adj, i, i + 1);
-                    }
-                    if i + cols < n {
-                        connect(&mut adj, i, i + cols);
-                    }
-                }
-            }
-            TopoShape::Random { degree } => {
-                // `degree/2` distinct circulant offsets from the seed:
-                // regular, connected for offset 1-free graphs often
-                // enough, and fully reproducible. Collisions probe to
-                // the next unused offset.
-                let half = n / 2;
-                let mut offsets: Vec<u64> = Vec::new();
-                let mut j = 0u64;
-                while offsets.len() < degree / 2 {
-                    let mut off = 1 + splitmix64(self.seed ^ (0xC1AC ^ j)) % half.max(1) as u64;
-                    while offsets.contains(&off) {
-                        off = 1 + (off % half.max(1) as u64);
-                    }
-                    offsets.push(off);
-                    j += 1;
-                }
-                for off in offsets {
-                    for i in 0..n {
-                        connect(&mut adj, i, (i + off as usize) % n);
-                    }
-                }
-            }
-        }
-        adj
     }
 
     /// The planned `(send time, source node, marker)` injections.
@@ -315,239 +205,100 @@ impl TopoSpec {
     }
 }
 
-/// A TTL-relay node: planned timer keys inject fresh frames; received
-/// frames are folded into commutative accumulators and, while hops
-/// remain, re-emitted on a content-hashed port after a content-hashed
-/// delay (see the module docs for why the delay matters).
-#[derive(Default)]
-pub struct RelayNode {
-    /// Number of attached transmit ports.
-    degree: u8,
-    /// Frame payload length this node emits.
-    payload_len: usize,
-    /// Marker per planned injection, indexed by kick key.
-    plans: Vec<u64>,
-    /// TTL stamped on fresh injections.
-    ttl: u8,
-    /// Forwards awaiting their hashed delay: `(timer key, port, bytes)`.
-    pending: Vec<(u64, u8, Vec<u8>)>,
-    /// Next pending timer key (offset under [`PENDING_BASE`]).
-    next_pending: u64,
-    /// Frames transmitted (fresh + forwarded).
-    pub tx: u64,
-    /// Transmissions the engine refused (should stay zero here).
-    pub tx_fail: u64,
-    /// Frames received.
-    pub rx: u64,
-    /// Payload bytes received.
-    pub rx_bytes: u64,
-    /// Frames whose TTL expired here (final deliveries).
-    pub delivered: u64,
-    /// Commutative fold of per-delivery record hashes.
-    pub acc: u64,
+/// Source route of one frame injected at `src`: `ttl + 1` out-ports,
+/// where the port leaving node `n` with `t` hops left is a hash of
+/// `(n, marker, t)` modulo `n`'s degree (every generated node has a
+/// link).
+fn route(adj: &[Vec<usize>], src: usize, marker: u64, ttl: u8) -> Vec<u8> {
+    let mut ports = Vec::with_capacity(ttl as usize + 1);
+    let mut node = src;
+    for left in (0..=ttl).rev() {
+        let nbrs = &adj[node];
+        let h = splitmix64(marker ^ (node as u64).rotate_left(17) ^ (left as u64) << 56);
+        let port = (h % nbrs.len() as u64) as usize;
+        ports.push(port as u8);
+        node = nbrs[port];
+    }
+    ports
 }
 
-impl RelayNode {
-    /// Port a frame with `marker` leaves a node on, at `ttl` hops left.
-    fn route_port(&self, me: u64, marker: u64, ttl: u8) -> u8 {
-        if self.degree == 0 {
-            return 0;
-        }
-        (splitmix64(marker ^ me.rotate_left(17) ^ (ttl as u64) << 56) % self.degree as u64) as u8
-    }
-
-    fn frame_bytes(&self, ttl: u8, marker: u64) -> Vec<u8> {
-        let mut v = vec![0u8; self.payload_len];
-        v[0] = ttl;
-        v[1..9].copy_from_slice(&marker.to_le_bytes());
-        // Deterministic pad so corruption anywhere would show in `acc`.
-        for (i, b) in v.iter_mut().enumerate().skip(9) {
-            *b = (marker >> (8 * (i % 8))) as u8 ^ i as u8;
-        }
-        v
-    }
-
-    fn transmit(&mut self, ctx: &mut Context<'_>, port: u8, bytes: Vec<u8>) {
-        match ctx.transmit(port, bytes) {
-            Ok(_) => self.tx += 1,
-            Err(_) => self.tx_fail += 1,
-        }
-    }
-}
-
-impl Node for RelayNode {
-    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
-        match ev {
-            Event::Timer { key } if key >= PENDING_BASE => {
-                let Some(i) = self.pending.iter().position(|&(k, _, _)| k == key) else {
-                    return;
-                };
-                let (_, port, bytes) = self.pending.remove(i);
-                self.transmit(ctx, port, bytes);
-            }
-            Event::Timer { key } => {
-                let Some(&marker) = self.plans.get(key as usize) else {
-                    return;
-                };
-                let (ttl, me) = (self.ttl, ctx.me().0 as u64);
-                let port = self.route_port(me, marker, ttl);
-                let bytes = self.frame_bytes(ttl, marker);
-                self.transmit(ctx, port, bytes);
-            }
-            Event::Frame(fe) => {
-                let bytes = fe.frame.payload.to_vec();
-                self.rx += 1;
-                self.rx_bytes += bytes.len() as u64;
-                // Order-insensitive record fold: (arrival, port, bytes).
-                let mut rec = Vec::with_capacity(bytes.len() + 9);
-                rec.extend_from_slice(&ctx.now().as_nanos().to_le_bytes());
-                rec.push(fe.port);
-                rec.extend_from_slice(&bytes);
-                self.acc = self.acc.wrapping_add(fnv64(&rec));
-                let ttl = bytes.first().copied().unwrap_or(0);
-                if ttl == 0 || bytes.len() < 9 {
-                    self.delivered += 1;
-                    return;
-                }
-                let mut m = [0u8; 8];
-                m.copy_from_slice(&bytes[1..9]);
-                let marker = u64::from_le_bytes(m);
-                let me = ctx.me().0 as u64;
-                let mut fwd = bytes;
-                fwd[0] = ttl - 1;
-                let port = self.route_port(me, marker, ttl - 1);
-                // Content-hashed sub-propagation delay: decorrelates
-                // same-instant transits so engine tie-break order can
-                // never surface in the digest.
-                let h = splitmix64(fnv64(&fwd) ^ me ^ ctx.now().as_nanos());
-                let delay = 1 + h % 4_093;
-                let key = PENDING_BASE + self.next_pending;
-                self.next_pending += 1;
-                self.pending.push((key, port, fwd));
-                ctx.schedule_in(SimDuration(delay), key);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Instantiate a spec: relay nodes, full-duplex links from the
-/// adjacency lists, and kicks for every planned injection.
+/// Instantiate a spec: a relay mesh over the adjacency and one kick per
+/// planned injection, each carrying its precomputed `route`.
 pub fn build(spec: &TopoSpec) -> Simulator {
     let mut spec = spec.clone();
     spec.normalize();
-    let adj = spec.adjacency();
-    let mut sim = Simulator::new(spec.seed);
-    let ids: Vec<_> = adj
-        .iter()
-        .map(|nbrs| {
-            sim.add_node(Box::new(RelayNode {
-                degree: nbrs.len() as u8,
-                payload_len: spec.payload_len,
-                ttl: spec.ttl,
-                ..RelayNode::default()
-            }))
-        })
-        .collect();
-    for (a, nbrs) in adj.iter().enumerate() {
-        for (pa, &b) in nbrs.iter().enumerate() {
-            if b < a {
-                continue; // one p2p per undirected edge
-            }
-            let pb = adj[b]
-                .iter()
-                .position(|&x| x == a)
-                .expect("adjacency is symmetric");
-            sim.p2p(
-                ids[a],
-                pa as u8,
-                ids[b],
-                pb as u8,
-                spec.rate_bps,
-                SimDuration(spec.prop_ns),
-            );
-        }
-    }
+    let adj = spec.shape.adjacency(spec.nodes, spec.seed);
+    let (mut sim, _) = relay::mesh(
+        &adj,
+        spec.seed,
+        spec.payload_len,
+        spec.rate_bps,
+        spec.prop_ns,
+    );
     for (at, node, marker) in spec.injections() {
-        let key = {
-            let relay: &mut RelayNode = sim.node_mut(ids[node]);
-            relay.plans.push(marker);
-            (relay.plans.len() - 1) as u64
-        };
-        sim.kick(at, ids[node], key);
+        let ports = route(&adj, node, marker, spec.ttl);
+        relay::inject(&mut sim, NodeId(node), ports, marker, [at]);
     }
     sim
 }
 
-/// Canonical digest of a finished topo run: engine event count plus
-/// every node's counters and record fold, one line per node.
-pub fn digest(sim: &Simulator, nodes: usize) -> TopoReport {
-    let mut out = String::with_capacity(nodes * 48 + 32);
-    out.push_str("topo-digest v1\n");
-    out.push_str(&format!("events={}\n", sim.events_dispatched()));
-    for i in 0..nodes {
-        let r: &RelayNode = sim.node(sirpent_sim::NodeId(i));
-        out.push_str(&format!(
-            "n{} tx={} txf={} rx={} bytes={} del={} acc={:016x}\n",
-            i, r.tx, r.tx_fail, r.rx, r.rx_bytes, r.delivered, r.acc
-        ));
-    }
-    TopoReport {
-        digest: out,
-        events: sim.events_dispatched(),
-    }
-}
-
 /// Build and run a spec on the serial engine.
-pub fn execute(spec: &TopoSpec) -> TopoReport {
+pub fn execute(spec: &TopoSpec) -> RunDigest {
     let mut spec = spec.clone();
     spec.normalize();
-    let mut sim = build(&spec);
-    sim.run_until(SimTime(spec.horizon_ns));
-    digest(&sim, spec.nodes)
+    let sim = relay::run(build(&spec), SimTime(spec.horizon_ns), None);
+    relay::digest(&sim, spec.nodes)
 }
 
 /// Build and run a spec on the sharded engine (`shards` spatial shards,
 /// `threads` workers), merging back to serial before digesting.
-pub fn execute_sharded(spec: &TopoSpec, shards: usize, threads: usize) -> TopoReport {
+pub fn execute_sharded(spec: &TopoSpec, shards: usize, threads: usize) -> RunDigest {
     let mut spec = spec.clone();
     spec.normalize();
-    let sim = build(&spec);
-    let mut sharded = ShardedSimulator::split(sim, shards);
-    sharded.run_until(SimTime(spec.horizon_ns), threads);
-    let sim = sharded.into_serial();
-    digest(&sim, spec.nodes)
+    let split = Some((shards, threads));
+    let sim = relay::run(build(&spec), SimTime(spec.horizon_ns), split);
+    relay::digest(&sim, spec.nodes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relay::Relay;
 
     #[test]
-    fn fixture_round_trips_for_64_seeds() {
+    fn normalize_is_idempotent_for_64_seeds() {
         for seed in 0..64u64 {
             let spec = TopoSpec::from_seed(seed);
-            let text = spec.to_fixture_string();
-            let back = TopoSpec::from_fixture_string(&text).expect("fixture parses");
-            assert_eq!(spec, back, "round-trip mismatch for seed {seed}");
-            // Normalization is idempotent through the text form.
-            assert_eq!(text, back.to_fixture_string());
+            let mut again = spec.clone();
+            again.normalize();
+            assert_eq!(spec, again, "normalize not idempotent for seed {seed}");
+            assert!(spec.payload_len >= spec.ttl as usize + 11, "seed {seed}");
         }
     }
 
     #[test]
-    fn fixture_parser_rejects_garbage() {
-        assert!(TopoSpec::from_fixture_string("nope").is_err());
-        assert!(TopoSpec::from_fixture_string("topo-fixture v1\nshape dodecahedron\n").is_err());
-        assert!(TopoSpec::from_fixture_string("topo-fixture v1\nnodes many\n").is_err());
+    fn routes_walk_the_adjacency_to_the_delivering_node_32_seeds() {
+        for seed in 0..32u64 {
+            let spec = TopoSpec::from_seed(seed);
+            let adj = spec.shape.adjacency(spec.nodes, spec.seed);
+            let mut want = vec![0u64; spec.nodes];
+            for (_, src, marker) in spec.injections() {
+                let ports = route(&adj, src, marker, spec.ttl);
+                assert_eq!(ports.len(), spec.ttl as usize + 1, "seed {seed}");
+                let mut node = src;
+                for &p in &ports {
+                    assert!((p as usize) < adj[node].len(), "seed {seed}: port");
+                    node = adj[node][p as usize];
+                }
+                want[node] += 1;
+            }
+            let mut sim = build(&spec);
+            sim.run_until(SimTime(spec.horizon_ns));
+            let got: Vec<u64> = (0..spec.nodes)
+                .map(|i| sim.node::<Relay>(NodeId(i)).delivered)
+                .collect();
+            assert_eq!(want, got, "seed {seed}: deliveries off the walk");
+        }
     }
 
     #[test]
@@ -569,7 +320,7 @@ mod tests {
                 rate_bps: 10_000_000,
                 horizon_ns: 10_000_000,
             };
-            let adj = spec.adjacency();
+            let adj = spec.shape.adjacency(spec.nodes, spec.seed);
             assert_eq!(adj.len(), n);
             for (a, nbrs) in adj.iter().enumerate() {
                 assert!(nbrs.len() <= 8, "degree fits ports");
@@ -588,7 +339,7 @@ mod tests {
         spec.shape = TopoShape::Grid { cols: 100 };
         spec.normalize();
         assert_eq!(spec.nodes, 10_000);
-        let adj = spec.adjacency();
+        let adj = spec.shape.adjacency(spec.nodes, spec.seed);
         assert_eq!(adj.len(), 10_000);
     }
 
@@ -602,8 +353,12 @@ mod tests {
     fn frames_actually_relay() {
         let spec = TopoSpec::from_seed(5);
         let report = execute(&spec);
-        let total: usize = spec.sources.min(spec.nodes) * spec.frames_per_source;
-        assert!(report.events > total as u64, "relays generated events");
-        assert!(report.digest.contains("del="), "digest has delivery lines");
+        let delivered: u64 = report
+            .digest
+            .split_whitespace()
+            .filter_map(|f| f.strip_prefix("del="))
+            .map(|v| v.parse::<u64>().expect("del= count"))
+            .sum();
+        assert_eq!(delivered, (spec.sources * spec.frames_per_source) as u64);
     }
 }

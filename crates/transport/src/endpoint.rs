@@ -199,7 +199,7 @@ impl Endpoint {
         kind: Kind,
         data: &[u8],
     ) -> Option<Vec<Action>> {
-        let mut group = GroupSender::split(data, self.seg_size)?;
+        let group = GroupSender::split(data, self.seg_size)?;
         let n = group.group_size();
         let mlen = group.message_len() as u32;
         let mut actions = Vec::with_capacity(n);
@@ -208,7 +208,6 @@ impl Endpoint {
             let at = self.pacer.schedule(now, seg.len() + 50);
             let bytes =
                 self.packet_bytes(dst, transaction, kind, n as u8, i as u8, 0, mlen, &seg, at);
-            group.note_sent(i);
             actions.push(Action::Transmit { at, bytes });
         }
         self.outgoing.insert(
@@ -273,11 +272,6 @@ impl Endpoint {
             let seg = self.outgoing[&transaction].group.segment(i).to_vec();
             let at = self.pacer.schedule(now, seg.len() + 50);
             let bytes = self.packet_bytes(dst, transaction, kind, n, i as u8, 0, mlen, &seg, at);
-            self.outgoing
-                .get_mut(&transaction)
-                .expect("present")
-                .group
-                .note_sent(i);
             self.stats.retransmissions += 1;
             actions.push(Action::Transmit { at, bytes });
         }

@@ -120,6 +120,7 @@ pub const DATAPLANE_FILES: &[&str] = &[
     "crates/directory/src/te.rs",
     "crates/directory/src/alternates.rs",
     "crates/simtest/src/te.rs",
+    "crates/simtest/src/relay.rs",
 ];
 
 /// The deterministic core: crates where simulated behaviour must be a
