@@ -51,6 +51,29 @@ impl Rng {
     }
 }
 
+/// Where `differential_run` aims its pushes beyond the base mix.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Items pushed into one bucket before the first op, so the first
+    /// bucket the drain loads is this deep.
+    prefill: u64,
+    /// Percent of push clusters landing within one bucket width of the
+    /// floor — the drain bucket, as the engine's decision timers and
+    /// `TxDone`s do.
+    near: u64,
+    /// Percent of push clusters landing between the floor and the
+    /// queued minimum: below the bucket `min_key` just loaded whenever
+    /// that bucket lies ahead of the floor's.
+    below_min: u64,
+}
+
+/// The base mix alone: in-window pushes spread over half the horizon.
+const SPREAD: Shape = Shape {
+    prefill: 0,
+    near: 0,
+    below_min: 0,
+};
+
 /// Drive both queues through an identical schedule derived from `seed`
 /// and assert every pop matches. The schedule respects the engine's
 /// caller contract (pushed keys are >= the last popped key) while
@@ -59,27 +82,55 @@ impl Rng {
 /// * bursts of same-instant pushes (tie-break purely by seq),
 /// * far-future times beyond the wheel horizon (overflow level),
 /// * pushes at exactly the just-popped instant (chaos-style injection),
-/// * drain-to-empty followed by re-push (wheel window jumps).
-fn differential_run(seed: u64, ops: usize) {
+/// * drain-to-empty followed by re-push (wheel window jumps),
+/// * with a non-[`SPREAD`] `shape`: a deep first bucket, pushes into the
+///   bucket being drained, and pushes below the bucket `min_key` loaded.
+fn differential_run(seed: u64, ops: usize, shape: Shape) {
     let mut rng = Rng(seed | 1);
     let mut heap: HeapQueue<Item> = HeapQueue::new();
     let mut wheel: CalendarQueue<Item> = CalendarQueue::new();
     let mut seq = 0u64;
     let mut floor = 0u64; // last popped time: pushes must not precede it
     let horizon = (SLOTS as u64) << SLOT_SHIFT;
+    let width = 1u64 << SLOT_SHIFT;
 
+    for _ in 0..shape.prefill {
+        let item = Item {
+            time: width + rng.below(width),
+            seq,
+        };
+        seq += 1;
+        heap.push(item.clone());
+        wheel.push(item);
+    }
     for _ in 0..ops {
         match rng.below(100) {
             // 55%: push a small cluster.
             0..=54 => {
-                let base = match rng.below(10) {
-                    // same instant as the floor (chaos-style)
-                    0..=2 => floor,
-                    // inside the wheel window
-                    3..=7 => floor + rng.below(horizon / 2),
-                    // far future: overflow level, sometimes several
-                    // horizons out
-                    _ => floor + horizon + rng.below(horizon * 3),
+                // Drawn only for a shaped run, so `SPREAD` keeps the
+                // base mix's random stream.
+                let aim = if shape.near + shape.below_min > 0 {
+                    rng.below(100)
+                } else {
+                    100
+                };
+                let base = if aim < shape.near {
+                    // the drain bucket's width
+                    floor + rng.below(width)
+                } else if aim < shape.near + shape.below_min {
+                    // under the queued minimum
+                    let min = heap.min_key().map_or(floor, |k| k.0);
+                    floor + rng.below(min - floor + 1)
+                } else {
+                    match rng.below(10) {
+                        // same instant as the floor (chaos-style)
+                        0..=2 => floor,
+                        // inside the wheel window
+                        3..=7 => floor + rng.below(horizon / 2),
+                        // far future: overflow level, sometimes several
+                        // horizons out
+                        _ => floor + horizon + rng.below(horizon * 3),
+                    }
                 };
                 let burst = 1 + rng.below(4);
                 for _ in 0..burst {
@@ -129,7 +180,37 @@ fn differential_run(seed: u64, ops: usize) {
 #[test]
 fn random_schedules_identical_pop_order_32_seeds() {
     for seed in 0..32u64 {
-        differential_run(seed, 4_000);
+        differential_run(seed, 4_000, SPREAD);
+    }
+}
+
+/// The engine's push shape: a drain bucket of 600 items, then pops
+/// alternating with pushes into the bucket being drained, so the
+/// sorted drain bucket and the late pushes interleave.
+#[test]
+fn deep_drain_bucket_with_near_pushes_32_seeds() {
+    let shape = Shape {
+        prefill: 600,
+        near: 80,
+        below_min: 0,
+    };
+    for seed in 0..32u64 {
+        differential_run(seed, 4_000, shape);
+    }
+}
+
+/// Pushes between the floor and the minimum `min_key` just reported:
+/// when the next occupied bucket lies ahead of the floor's, they land
+/// in buckets earlier than the one the peek loaded.
+#[test]
+fn pushes_below_the_loaded_bucket_32_seeds() {
+    let shape = Shape {
+        prefill: 0,
+        near: 20,
+        below_min: 30,
+    };
+    for seed in 0..32u64 {
+        differential_run(seed, 4_000, shape);
     }
 }
 
